@@ -9,13 +9,15 @@ The module realizes both renormalization paths and checks they agree:
   cancel identically (``bare_coupling_standard``,
   ``pole_cancellation_report``).
 
-Scale independence of the physical quantities defines the
-renormalization-group equations operationally: ``beta_functions``
-measures the ``ln mu`` drift of each finite part by central differences
-(exact here, since every finite part is linear in ``ln mu`` at fixed
-couplings) and solves the stationarity conditions at leading order.
-``rg_flow`` integrates them with a fixed-step classical Runge–Kutta
-scheme so trajectories are bit-for-bit reproducible.
+In minimal subtraction the one-loop renormalization-group functions are
+the simple-pole residues of the bare parameters ('t Hooft, Nucl. Phys.
+B61 (1973) 455): each one-loop beta is minus the ``1/eps`` residue of its
+bare parameter, so ``beta_functions`` reads them off in closed form.
+The operational definition, scale independence of the finite parts
+measured by central differences in ``ln mu``, is kept in the test suite
+as the oracle for those closed forms.  ``rg_flow`` integrates them with a
+fixed-step classical Runge–Kutta scheme so trajectories are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ __all__ = [
     "superficial_divergence",
 ]
 
-#: central-difference step in ln mu for the stationarity derivatives
-_LN_MU_STEP = 1e-4
-
 #: Landau-pole guard: trajectories are truncated once lambda0 exceeds this
 LANDAU_GUARD = 10.0
 
@@ -71,6 +70,9 @@ class CouplingSet:
     mu: float
 
     def __post_init__(self) -> None:
+        for name in ("lambda0", "m0_sq", "Lambda0", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"CouplingSet: {name} must be finite")
         if self.lambda0 < 0.0:
             raise DomainError("CouplingSet: lambda0 must be >= 0")
         if self.mu <= 0.0:
@@ -230,58 +232,41 @@ def propagator_inverse(p_sq: float, c: CouplingSet) -> float:
 # ----------------------------------------------------------------- RG machinery
 
 
-def _lnmu_derivative(fn, c: CouplingSet, h: float = _LN_MU_STEP) -> float:
-    """Central difference d(fn)/d ln mu at fixed couplings."""
-    up = fn(c.at(mu=c.mu * math.exp(h)))
-    down = fn(c.at(mu=c.mu * math.exp(-h)))
-    return (up - down) / (2.0 * h)
+def _flow_rhs(lambda0: float, m0_sq: float) -> tuple[float, float, float]:
+    """One-loop ``(beta_lambda, gamma_m, beta_Lambda)``; independent of mu."""
+    if lambda0 < 0.0:
+        raise DomainError("beta_functions: lambda0 must be >= 0")
+    if m0_sq < 0.0:
+        raise DomainError("beta_functions: m0_sq must be >= 0")
+    # minus the 1/eps residue -3 lambda^2/(4 pi)^2 of bare_coupling_standard
+    beta_lambda = 3.0 * lambda0**2 / FOUR_PI_SQ
+    # minus the 1/eps residue -lambda m^2/(4 pi)^2 of the bare mass m0^2
+    gamma_m = lambda0 * m0_sq / FOUR_PI_SQ
+    # minus the 1/eps residue m^4/(2 (4 pi)^2) of the vacuum term (1/4) m^2 tadpole
+    beta_Lambda = -(m0_sq**2) / (2.0 * FOUR_PI_SQ)
+    return beta_lambda, gamma_m, beta_Lambda
 
 
 def beta_functions(c: CouplingSet) -> dict[str, float]:
-    """Leading-order RG derivatives from stationarity of the finite parts.
+    """One-loop RG derivatives read off the simple-pole residues.
 
-    Each physical quantity is linear in ``ln mu`` at fixed couplings, so
-    the central differences are exact; solving the stationarity
-    conditions at leading order gives
+    In minimal subtraction each one-loop beta is minus the ``1/eps``
+    residue of its bare parameter:
 
-    * ``beta_lambda = -dT/dln mu``         (amplitude stationarity),
-    * ``gamma_m    = -(lambda0/2) d(tad_fin)/dln mu`` (mass stationarity),
-    * ``beta_Lambda = d(m^4-term)/dln mu`` (vacuum-energy stationarity).
+    * ``beta_lambda = 3 lambda0^2/(4 pi)^2`` from the bare coupling,
+    * ``gamma_m    = lambda0 m0^2/(4 pi)^2`` from the bare mass,
+    * ``beta_Lambda = -m0^4/(2 (4 pi)^2)`` from the vacuum term.
+
+    They equal the leading-order stationarity conditions of ``amplitude_T``,
+    the tadpole mass shift and the vacuum energy under ``ln mu``; the test
+    suite measures those slopes by central differences as the oracle.
     """
-    if c.lambda0 == 0.0:
-        beta_lambda = 0.0
-    else:
-        # the amplitude's mu-slope is mass independent (each bubble finite
-        # part is linear in ln mu with a universal coefficient), so a
-        # massive probe point is always usable
-        probe_m_sq = c.m0_sq if c.m0_sq > 0.0 else c.mu**2
-        probe = c.at(m0_sq=probe_m_sq)
-        s_ref = -probe_m_sq
-
-        def t_at(cc: CouplingSet) -> float:
-            return amplitude_T(cc, s_ref, s_ref, s_ref).real
-
-        beta_lambda = -_lnmu_derivative(t_at, probe)
-
-    def half_tad(cc: CouplingSet) -> float:
-        return 0.5 * cc.lambda0 * _tadpole_finite(cc)
-
-    gamma_m = -_lnmu_derivative(half_tad, c)
-
-    def vacuum_term(cc: CouplingSet) -> float:
-        return 0.25 * cc.m0_sq * _tadpole_finite(cc)
-
-    beta_Lambda = _lnmu_derivative(vacuum_term, c)
+    beta_lambda, gamma_m, beta_Lambda = _flow_rhs(c.lambda0, c.m0_sq)
     return {
         "beta_lambda": beta_lambda,
         "gamma_m": gamma_m,
         "beta_Lambda": beta_Lambda,
     }
-
-
-def _flow_rhs(lambda0: float, m0_sq: float, Lambda0: float, mu: float):
-    b = beta_functions(CouplingSet(lambda0, m0_sq, Lambda0, mu))
-    return b["beta_lambda"], b["gamma_m"], b["beta_Lambda"]
 
 
 def _integrate(start: CouplingSet, ln_mu_end: float, steps: int):
@@ -292,17 +277,13 @@ def _integrate(start: CouplingSet, ln_mu_end: float, steps: int):
     y = (start.lambda0, start.m0_sq, start.Lambda0)
     for i in range(steps):
         x = ln_mu0 + i * h
-
-        def rhs(state, lnmu):
-            return _flow_rhs(state[0], state[1], state[2], math.exp(lnmu))
-
-        k1 = rhs(y, x)
+        k1 = _flow_rhs(y[0], y[1])
         y2 = tuple(y[j] + 0.5 * h * k1[j] for j in range(3))
-        k2 = rhs(y2, x + 0.5 * h)
+        k2 = _flow_rhs(y2[0], y2[1])
         y3 = tuple(y[j] + 0.5 * h * k2[j] for j in range(3))
-        k3 = rhs(y3, x + 0.5 * h)
+        k3 = _flow_rhs(y3[0], y3[1])
         y4 = tuple(y[j] + h * k3[j] for j in range(3))
-        k4 = rhs(y4, x + h)
+        k4 = _flow_rhs(y4[0], y4[1])
         y = tuple(
             y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
             for j in range(3)
@@ -323,8 +304,8 @@ def rg_flow(start: CouplingSet, mu_end: float, steps: int = 64) -> list[Coupling
     exceeds :data:`LANDAU_GUARD` the trajectory is truncated at the
     offending point and a :class:`LandauPoleWarning` is emitted.
     """
-    if mu_end <= 0.0:
-        raise DomainError("rg_flow: mu_end must be > 0")
+    if not math.isfinite(mu_end) or mu_end <= 0.0:
+        raise DomainError("rg_flow: mu_end must be finite and > 0")
     if steps < 16:
         raise DomainError("rg_flow: steps must be >= 16")
     ln_mu_end = math.log(mu_end)
@@ -351,10 +332,12 @@ def rg_flow(start: CouplingSet, mu_end: float, steps: int = 64) -> list[Coupling
         (end.m0_sq, end2.m0_sq),
         (end.Lambda0, end2.Lambda0),
     ):
-        denom = max(abs(a), abs(b))
-        if denom > 0.0 and abs(a - b) / denom > _ENDPOINT_RTOL:
+        diff = abs(a - b)
+        rel = diff / max(abs(a), abs(b)) if diff else 0.0
+        # written to fail closed: a NaN endpoint never passes
+        if not rel <= _ENDPOINT_RTOL:
             raise StepCountInsufficient(
-                f"rg_flow: endpoint moved by {abs(a - b) / denom:.3e} relative "
+                f"rg_flow: endpoint moved by {rel:.3e} relative "
                 f"under step doubling (> {_ENDPOINT_RTOL}); increase steps"
             )
     return trajectory
@@ -368,20 +351,20 @@ def _standard_amplitude_series(c: CouplingSet, s: float, t: float, u: float,
     """Standard-path amplitude with the bare-coupling series inserted.
 
     Order-lambda^2 truncation: the one-loop terms multiply the
-    renormalized ``lambda**2`` directly, so the surviving pole of the
-    bare coupling cancels the one-loop ``+3 lambda^2/(4 pi)^2 /eps``
-    counterterm identically.
+    renormalized ``lambda**2`` directly.  Their poles are
+    ``(1/2) lambda^2 * 3`` times the pole part of the bubble's own series,
+    taken at ``P^2 = 0`` (the residue does not depend on the momentum);
+    the finite part sums the closed-form bubble over ``s, t, u``.  The
+    bare coupling's pole must cancel them.
     """
     lam = c.lambda0
     series = bare_coupling_standard(lam, c.mu, 0.0, order)
     if lam == 0.0:
         return series
-    fsum = _fish_finite_sum(c, s, t, u)
-    one_loop = EpsilonSeries.from_terms(
-        {-1: 3.0 * lam**2 / FOUR_PI_SQ, 0: 0.5 * lam**2 * fsum},
-        max_order=order,
-    )
-    return series_add(series, one_loop)
+    bubble_poles = fish(0.0, c.kinematic_point(), order=1).split.singular
+    terms = {-g: 0.5 * lam**2 * 3.0 * r for g, r in bubble_poles.items()}
+    terms[0] = 0.5 * lam**2 * _fish_finite_sum(c, s, t, u)
+    return series_add(series, EpsilonSeries.from_terms(terms, max_order=order))
 
 
 def _standard_propagator_series(c: CouplingSet, p_sq: float,
@@ -395,6 +378,21 @@ def _standard_propagator_series(c: CouplingSet, p_sq: float,
     double-scoop finite part, and the wave-function factor
     ``z1^2 = 1 + (1/12) X^2/eps`` applied to the lambda^0 part only
     (its product with one-loop poles is order lambda^3, beyond scope).
+
+    Only the tadpole and setting-sun poles come from graph series; the
+    rest are entered by hand, not derived:
+
+    * ``bare_mass``: its ``-X m^2/eps`` is minus the tadpole residue
+      ``(1/2) lambda * 2 m^2/(4 pi)^2`` (the residue ``gamma_m`` is read
+      off); its two-loop ``X^2 m^2 (2/eps^2 + 5/12 /eps)`` is a literal.
+    * ``literal_two_loop``: stands in for the two-loop mass poles the
+      assembly does not build from graphs (the double scoop enters through
+      its finite part only).  Its ``-2/eps^2`` cancels the bare mass's
+      double pole and its ``-1/2 /eps`` leaves ``-(1/12) X^2 m^2/eps``
+      against the bare mass's ``5/12``.
+    * the ``z1^2`` term ``(1/12) X^2 (p^2 + m^2)/eps``: its ``p^2`` part
+      cancels the setting sun's pole ``-(1/12) X^2 p^2``, and its ``m^2``
+      part the ``-(1/12) X^2 m^2/eps`` left above.
     """
     lam, m_sq = c.lambda0, c.m0_sq
     if lam == 0.0:

@@ -14,8 +14,10 @@ derivations):
   setting-sun regression constant
 """
 
+import dataclasses
 import math
 import random
+import types
 
 import pytest
 
@@ -39,7 +41,8 @@ from polekit import (
     superficial_divergence,
     tadpole,
 )
-from polekit.laurent import EpsilonSeries, series_add
+from polekit import renorm
+from polekit.laurent import EpsilonSeries, ms_split, series_add
 
 EULER_GAMMA = 0.5772156649015329
 SETTING_SUN_CONST = -2.6727843350984677
@@ -54,6 +57,14 @@ def tad_finite(c: CouplingSet) -> float:
     return tadpole(k).split.finite.real
 
 
+def lnmu_slope(fn, c: CouplingSet, h: float = 1e-4) -> float:
+    """Central difference d(fn)/d ln mu at fixed couplings: the operational
+    definition of the RG functions (scale independence of finite parts)."""
+    up = fn(c.at(mu=c.mu * math.exp(h)))
+    down = fn(c.at(mu=c.mu * math.exp(-h)))
+    return (up - down) / (2.0 * h)
+
+
 # ----------------------------------------------------------------- CouplingSet
 
 
@@ -63,6 +74,14 @@ class TestCouplingSet:
             CouplingSet(lambda0=-0.1, m0_sq=1.0, Lambda0=0.0, mu=1.0)
         with pytest.raises(DomainError):
             CouplingSet(lambda0=0.1, m0_sq=1.0, Lambda0=0.0, mu=0.0)
+
+    @pytest.mark.parametrize("field", ["lambda0", "m0_sq", "Lambda0", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = {"lambda0": 0.1, "m0_sq": 1.0, "Lambda0": 0.0, "mu": 1.0}
+        fields[field] = value
+        with pytest.raises(DomainError):
+            CouplingSet(**fields)
 
     def test_at_returns_modified_copy(self):
         c2 = C_GENERIC.at(mu=2.6)
@@ -119,6 +138,18 @@ class TestAmplitude:
         slope = (up - down) / (2.0 * h)
         expected = -3.0 * C_GENERIC.lambda0**2 / FOUR_PI_SQ
         assert math.isclose(slope, expected, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("c", [C_GENERIC, C_STRONG])
+    def test_mass_shift_slope_is_minus_gamma_m(self, c):
+        # stationarity of the physical mass m0^2 + (1/2) lambda0 tad_fin
+        slope = lnmu_slope(lambda cc: 0.5 * cc.lambda0 * tad_finite(cc), c)
+        assert math.isclose(slope, -beta_functions(c)["gamma_m"], rel_tol=1e-6)
+
+    @pytest.mark.parametrize("c", [C_GENERIC, C_STRONG])
+    def test_vacuum_term_slope_is_beta_Lambda(self, c):
+        # stationarity of the vacuum energy (1/4) m0^2 tad_fin - Lambda0
+        slope = lnmu_slope(lambda cc: 0.25 * cc.m0_sq * tad_finite(cc), c)
+        assert math.isclose(slope, beta_functions(c)["beta_Lambda"], rel_tol=1e-6)
 
     def test_region_dispatch_is_continuous_at_zero(self):
         delta = 1e-6 * C_GENERIC.m0_sq
@@ -267,6 +298,10 @@ class TestBetaFunctions:
         assert b["beta_lambda"] == 0.0
         assert b["gamma_m"] == 0.0
 
+    def test_negative_mass_rejected(self):
+        with pytest.raises(DomainError):
+            beta_functions(C_GENERIC.at(m0_sq=-1.0))
+
 
 # --------------------------------------------------------------------- rg_flow
 
@@ -277,6 +312,27 @@ class TestRgFlow:
             rg_flow(C_GENERIC, -1.0, 32)
         with pytest.raises(DomainError):
             rg_flow(C_GENERIC, 10.0, 8)
+        for mu_end in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                rg_flow(C_GENERIC, mu_end, 32)
+        with pytest.raises(DomainError):
+            rg_flow(C_GENERIC.at(m0_sq=-1.0), 10.0, 32)
+
+    def test_endpoint_guard_fails_closed_on_nan(self, monkeypatch):
+        integrate = renorm._integrate
+
+        def nan_on_rerun(start, ln_mu_end, steps):
+            trajectory, tripped = integrate(start, ln_mu_end, steps)
+            if steps == 64:
+                end = types.SimpleNamespace(
+                    lambda0=math.nan, m0_sq=math.nan, Lambda0=math.nan
+                )
+                trajectory = trajectory[:-1] + [end]
+            return trajectory, tripped
+
+        monkeypatch.setattr(renorm, "_integrate", nan_on_rerun)
+        with pytest.raises(StepCountInsufficient):
+            rg_flow(C_GENERIC, 10.0, 32)
 
     def test_trajectory_shape(self):
         traj = rg_flow(C_GENERIC, 10.0, 32)
@@ -291,6 +347,22 @@ class TestRgFlow:
             10.0 / C_GENERIC.mu
         )
         assert abs(1.0 / lam_end - expected_inverse) / expected_inverse < 1e-7
+
+    def test_closed_form_trajectory(self):
+        # one-loop solution: 1/lambda linear in ln mu, m^2 ~ lambda^(1/3),
+        # Lambda = Lambda0 + m0^4/(2 lambda0^(2/3)) (lambda^(-1/3) - lambda0^(-1/3))
+        start = C_STRONG.at(lambda0=2.0)
+        lam0, m0_sq, Lam0 = start.lambda0, start.m0_sq, start.Lambda0
+        traj = rg_flow(start, start.mu * math.exp(12.0), 128)
+        assert traj[-1].lambda0 > 1.8 * lam0
+        scale = m0_sq**2 / (2.0 * lam0 ** (2.0 / 3.0))
+        for p in traj:
+            lam = 1.0 / (1.0 / lam0 - (3.0 / FOUR_PI_SQ) * math.log(p.mu / start.mu))
+            m_sq = m0_sq * (lam / lam0) ** (1.0 / 3.0)
+            Lam = Lam0 + scale * (lam ** (-1.0 / 3.0) - lam0 ** (-1.0 / 3.0))
+            assert math.isclose(p.lambda0, lam, rel_tol=1e-9)
+            assert math.isclose(p.m0_sq, m_sq, rel_tol=1e-9)
+            assert abs(p.Lambda0 - Lam) <= 1e-9 * max(abs(Lam), abs(Lam0))
 
     def test_zero_coupling_massless_constant_trajectory(self):
         start = CouplingSet(lambda0=0.0, m0_sq=0.0, Lambda0=0.4, mu=1.0)
@@ -371,6 +443,18 @@ class TestPoleCancellation:
         for report in pole_cancellation_report(C_FREE):
             assert all(residual == 0 for residual in report.residuals.values())
             assert report.is_finite
+
+    def test_broken_bubble_residue_is_caught(self, monkeypatch):
+        assert pole_cancellation_report(C_STRONG)[0].is_finite
+        fish = renorm.fish
+
+        def broken_fish(*args, **kwargs):
+            graph = fish(*args, **kwargs)
+            series = graph.series * (1.0 + 1e-6)
+            return dataclasses.replace(graph, series=series, split=ms_split(series))
+
+        monkeypatch.setattr(renorm, "fish", broken_fish)
+        assert not pole_cancellation_report(C_STRONG)[0].is_finite
 
     def test_method_equivalence_amplitude(self):
         for c in (C_GENERIC, C_STRONG):
