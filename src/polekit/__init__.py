@@ -30,7 +30,6 @@ from .errors import (
     ConvergenceError,
     DenominatorVanishes,
     DomainError,
-    DomainUnsupported,
     EvalAtZeroWithPoles,
     GridMismatch,
     LandauPoleWarning,
@@ -126,7 +125,6 @@ __all__ = [
     "PoleDepthExceeded",
     "EvalAtZeroWithPoles",
     "BranchCutCrossing",
-    "DomainUnsupported",
     "DenominatorVanishes",
     "GridMismatch",
     "ConvergenceError",

@@ -4,7 +4,7 @@ Two branches hang off :class:`WorkbenchError`:
 
 * :class:`DomainError` (also a ``ValueError``) — the request itself is
   outside the validated domain of an operation (too-deep poles, branch
-  cuts, unsupported kinematic windows, mismatched grids, ...).
+  cuts, non-finite inputs, mismatched grids, ...).
 * :class:`ConvergenceError` (also a ``RuntimeError``) — the request is
   legitimate but a numerical procedure could not meet its tolerance.
 
@@ -21,7 +21,6 @@ __all__ = [
     "PoleDepthExceeded",
     "EvalAtZeroWithPoles",
     "BranchCutCrossing",
-    "DomainUnsupported",
     "DenominatorVanishes",
     "GridMismatch",
     "ConvergenceError",
@@ -51,10 +50,6 @@ class EvalAtZeroWithPoles(DomainError):
 
 class BranchCutCrossing(DomainError):
     """A quadrature path would cross the two-particle branch cut."""
-
-
-class DomainUnsupported(DomainError):
-    """The requested kinematic point is in an unsupported window."""
 
 
 class DenominatorVanishes(DomainError):

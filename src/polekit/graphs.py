@@ -14,12 +14,17 @@ path.  The four graphs in scope:
   propagator at coincident points.
 * ``fish``         — the one-loop four-point bubble as a function of the
   (Euclidean) momentum-transfer square ``P_sq``, via a Feynman-parameter
-  quadrature; ``fish_closed_form`` gives its finite part in closed form
-  on the spacelike and above-threshold timelike windows.
+  quadrature (exact at ``P_sq = 0``, where the integrand is constant);
+  ``fish_closed_form`` gives its finite part in closed form at every
+  Mandelstam ``s``: spacelike, below threshold and above threshold.
 * ``double_scoop`` — the two-loop mass graph built from the product of
   the zero-momentum fish and the tadpole (double pole).
 * ``setting_sun``  — the momentum-dependent two-loop self-energy
   structure proportional to ``p_sq``.
+
+Only ``fish`` at ``P_sq != 0`` integrates numerically; it imports
+``scipy.integrate`` on first use, so importing this module needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -29,14 +34,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import (
-    BranchCutCrossing,
-    DomainError,
-    DomainUnsupported,
-    QuadratureNotConverged,
-)
+from .errors import BranchCutCrossing, DomainError, QuadratureNotConverged
 from .laurent import (
     DEFAULT_MAX_ORDER,
     EpsilonSeries,
@@ -66,6 +65,11 @@ FOUR_PI_SQ = (4.0 * math.pi) ** 2
 DEFAULT_QUAD_TOL = 1e-10
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KinematicPoint:
     """Model parameters and the arbitrary renormalization scale.
@@ -81,6 +85,8 @@ class KinematicPoint:
     Lambda0: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("m_sq", "lambda0", "mu", "Lambda0"):
+            _require_finite(f"KinematicPoint: {name}", getattr(self, name))
         if self.m_sq < 0.0:
             raise DomainError("KinematicPoint: m_sq must be >= 0")
         if self.lambda0 < 0.0:
@@ -137,8 +143,15 @@ def tadpole(k: KinematicPoint, order: int = DEFAULT_MAX_ORDER) -> GraphResult:
 
 
 def _log_moment(j: int, p_sq: float, k: KinematicPoint, quad_tol: float) -> float:
-    """``\\int_0^1 ln^j [(m^2 + a(1-a) P^2)/(4 pi mu^2)] da`` by adaptive quadrature."""
+    """``\\int_0^1 ln^j [(m^2 + a(1-a) P^2)/(4 pi mu^2)] da`` by adaptive quadrature.
+
+    At ``P^2 = 0`` the integrand is the constant ``ln^j(m^2/4 pi mu^2)``,
+    returned exactly without integrating.
+    """
     denom = 4.0 * math.pi * k.mu**2
+    if p_sq == 0.0:
+        return math.log(k.m_sq / denom) ** j
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(alpha: float) -> float:
         return math.log((k.m_sq + alpha * (1.0 - alpha) * p_sq) / denom) ** j
@@ -178,6 +191,7 @@ def fish(
     """
     if order < 1:
         raise DomainError("fish: order must be >= 1")
+    _require_finite("fish: P_sq", P_sq)
     k._require_massive("fish")
     if P_sq <= -4.0 * k.m_sq:
         raise BranchCutCrossing(
@@ -209,22 +223,25 @@ def fish_closed_form(s: float, k: KinematicPoint) -> complex:
     with ``beta = sqrt(1 - 4 m^2/s)``: real for spacelike ``s < 0``,
     complex (``s + i0`` prescription, absorptive part ``-pi beta/(4 pi)^2``)
     above threshold ``s > 4 m^2``.  At threshold the velocity factor
-    vanishes and the bracketed log term drops.  The window ``0 <= s < 4 m^2``
-    (including ``s = 0``) is served by the quadrature path only.
+    vanishes and the bracketed log term drops.  Below threshold,
+    ``0 <= s < 4 m^2``, ``beta = i b`` is imaginary and the bracket is the
+    real ``2 b arctan(1/b)`` with ``b = sqrt(4 m^2/s - 1)``; it tends to 2
+    as ``s -> 0``, where the result is the bubble's ``P^2 = 0`` finite part.
 
     The additive constant ``-2`` is pinned by requiring agreement with the
     Feynman-parameter quadrature on the spacelike overlap (a frozen
     regression value).
     """
+    _require_finite("fish_closed_form: s", s)
     k._require_massive("fish_closed_form")
     m_sq = k.m_sq
-    if 0.0 <= s < 4.0 * m_sq:
-        raise DomainUnsupported(
-            f"fish_closed_form: s = {s} in [0, 4 m^2) is not supported; "
-            "use the quadrature path"
-        )
     log_term = math.log(m_sq / (4.0 * math.pi * k.mu**2)) + np.euler_gamma
     prefactor = 1.0 / FOUR_PI_SQ
+    if 0.0 <= s < 4.0 * m_sq:
+        # 2 b arctan(1/b) = 2 arctan(u)/u with u = 1/b, which cannot overflow
+        u = math.sqrt(s / (4.0 * m_sq - s))
+        bracket = 2.0 * math.atan(u) / u if u > 0.0 else 2.0
+        return complex(prefactor * (log_term - 2.0 + bracket))
     if s == 4.0 * m_sq:
         return complex(prefactor * (log_term - 2.0))
     beta = math.sqrt(1.0 - 4.0 * m_sq / s)
@@ -264,6 +281,7 @@ def setting_sun(
     """
     if not 1 <= order <= 3:
         raise DomainError("setting_sun: order must be in [1, 3]")
+    _require_finite("setting_sun: p_sq", p_sq)
     k._require_massive("setting_sun")
     if p_sq < 0.0:
         raise DomainError("setting_sun: p_sq must be >= 0 (Euclidean)")

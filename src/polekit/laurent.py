@@ -13,7 +13,11 @@ renormalization modules consume.
 
 Expansion constructors :func:`gamma_laurent` and :func:`scale_power`
 produce the two special-function series every dimensionally regularized
-one- and two-loop graph is assembled from.
+one- and two-loop graph is assembled from.  ``gamma_laurent`` takes an
+integer ``a``, so its coefficients are exact combinations of Euler's
+constant, harmonic sums ``sum_{j<a} j^{-k}`` and the four-entry table
+``_ZETA`` of ``zeta(2) .. zeta(5)``; no special-function library is
+needed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import polygamma, zeta
 
 from .errors import DomainError, EvalAtZeroWithPoles, PoleDepthExceeded
 
@@ -353,11 +356,29 @@ def _poly_exp(p: list[complex], order: int) -> list[complex]:
     return out
 
 
-def _ln_gamma_one_plus(order: int) -> list[complex]:
-    """Taylor coefficients of ``ln Gamma(1 + x)`` through ``x^order``."""
-    coeffs = [0j, complex(-np.euler_gamma)]
+#: ``zeta(2) .. zeta(5)``, the only zeta values ``gamma_laurent`` reaches
+#: (order <= 4 needs ``x^5`` of ``ln Gamma(1 + x)`` at a pole); ``zeta(4)``
+#: is ``pi^4/90`` correctly rounded, one ulp above the float expression
+_ZETA = {
+    2: math.pi**2 / 6.0,
+    3: 1.2020569031595942,
+    4: 1.0823232337111381,
+    5: 1.0369277551433699,
+}
+
+
+def _ln_gamma_taylor(a: int, order: int) -> list[complex]:
+    """Taylor coefficients of ``ln Gamma(a + x)`` through ``x^order``, ``a >= 1``.
+
+    The ``x^k`` coefficient is ``psi^{(k-1)}(a)/k!``; at a positive integer
+    the polygammas are harmonic sums: ``psi(a) = -gamma + H_{a-1}`` and
+    ``psi^{(k-1)}(a)/k! = (-1)^k (zeta(k) - sum_{j<a} j^{-k}) / k``.
+    """
+    harmonic = math.fsum(1.0 / j for j in range(1, a))
+    coeffs = [0j, complex(-np.euler_gamma + harmonic)]
     for k in range(2, order + 1):
-        coeffs.append(complex((-1) ** k * zeta(k) / k))
+        tail = math.fsum([_ZETA[k]] + [-(j ** -k) for j in range(1, a)])
+        coeffs.append(complex((-1) ** k * tail / k))
     return coeffs[: order + 1]
 
 
@@ -365,7 +386,8 @@ def gamma_laurent(a: int, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
     """Laurent expansion of ``Gamma(a + b*eps)`` about ``eps = 0``.
 
     For ``a >= 1`` the result is pole-free; for ``a <= 0`` it has a simple
-    pole with residue ``(-1)**|a| / (|a|! * b)``.
+    pole with residue ``(-1)**|a| / (|a|! * b)``.  Every coefficient is
+    built from Euler's constant, harmonic sums and ``zeta(2) .. zeta(5)``.
     """
     if not isinstance(a, numbers.Integral) or isinstance(a, bool):
         raise DomainError("gamma_laurent: 'a' must be an integer")
@@ -377,11 +399,8 @@ def gamma_laurent(a: int, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
         raise DomainError("gamma_laurent: order must be between 0 and 4")
 
     if a >= 1:
-        # Gamma(a + x) = Gamma(a) * exp(psi(a) x + sum_{k>=2} psi^{(k-1)}(a) x^k / k!)
-        ln_coeffs = [0j]
-        for k in range(1, order + 1):
-            ln_coeffs.append(complex(polygamma(k - 1, a) / math.factorial(k)))
-        series_x = _poly_exp(ln_coeffs, order)
+        # Gamma(a + x) = Gamma(a) * exp(ln Gamma(a + x) - ln Gamma(a))
+        series_x = _poly_exp(_ln_gamma_taylor(a, order), order)
         gamma_a = math.gamma(a)
         coeffs = tuple(
             gamma_a * series_x[k] * b**k for k in range(order + 1)
@@ -392,7 +411,7 @@ def gamma_laurent(a: int, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
     #             = [(-1)^N / N!] * Gamma(1 + x) * prod_k 1/(1 - x/k) / x
     n_abs = -a
     depth = order + 1  # need x^{order+1} of the regular factor (one power feeds the pole)
-    regular = _poly_exp(_ln_gamma_one_plus(depth), depth)
+    regular = _poly_exp(_ln_gamma_taylor(1, depth), depth)
     for k in range(1, n_abs + 1):
         geom = [complex(k ** -j) for j in range(depth + 1)]
         regular = _poly_mul(regular, geom, depth)

@@ -128,26 +128,22 @@ def physical_mass_sq(c: CouplingSet) -> float:
     return c.m0_sq + 0.5 * c.lambda0 * _tadpole_finite(c)
 
 
-def _fish_finite(s: float, c: CouplingSet) -> complex:
-    """Finite bubble value at Mandelstam ``s``: closed form where valid,
-    the Euclidean quadrature inside ``[0, 4 m^2)``."""
-    k = c.kinematic_point()
-    if 0.0 <= s < 4.0 * c.m0_sq:
-        return fish(-s, k).split.finite
-    return fish_closed_form(s, k)
-
-
 def _fish_finite_sum(c: CouplingSet, s: float, t: float, u: float) -> complex:
+    """Closed-form finite bubble summed over the three channels."""
+    k = c.kinematic_point()
     # canonical argument order makes crossing symmetry bit-exact
     total = 0j
     for x in sorted((s, t, u)):
-        total += _fish_finite(x, c)
+        total += fish_closed_form(x, k)
     return total
 
 
 def amplitude_T(c: CouplingSet, s: float, t: float, u: float) -> complex:
     """Subtraction-path four-point amplitude
     ``lambda0 + (1/2) lambda0^2 [F(s) + F(t) + F(u)]``."""
+    for name, value in (("s", s), ("t", t), ("u", u)):
+        if not math.isfinite(value):
+            raise DomainError(f"amplitude_T: {name} must be finite")
     if c.lambda0 == 0.0:
         return 0j
     return c.lambda0 + 0.5 * c.lambda0**2 * _fish_finite_sum(c, s, t, u)
@@ -216,8 +212,8 @@ def propagator_inverse(p_sq: float, c: CouplingSet) -> float:
     + (setting-sun finite)(p^2)``; the wave-function factor is unity
     (the standard path's z1^2 is pure pole, so dropping poles gives z1 = 1).
     """
-    if p_sq <= 0.0:
-        raise DomainError("propagator_inverse: p_sq must be > 0")
+    if not math.isfinite(p_sq) or p_sq <= 0.0:
+        raise DomainError("propagator_inverse: p_sq must be finite and > 0")
     k = c.kinematic_point()
     value = p_sq + c.m0_sq + 0.5 * c.lambda0 * _tadpole_finite(c)
     if c.lambda0 > 0.0:

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polekit
 from polekit.cli import ConfigError, load_config, main
 
 TADPOLE_CONFIG = """\
@@ -323,3 +328,64 @@ class TestCommands:
         assert status == 0
         header, rows = read_csv(out)
         assert float(rows[0][header.index("offdiagonal_im")]) == 0.0
+
+
+# -------------------------------------------------------------- import hygiene
+
+SRC_DIR = Path(polekit.__file__).resolve().parents[1]
+
+
+def scipy_imports(tmp_path, *args):
+    """scipy modules imported by ``python -X importtime <args>`` in a fresh
+    interpreter that runs to exit status 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+def cli_args(tmp_path, command, config_text):
+    config = write_config(tmp_path, config_text, f"{command}.ini")
+    out = tmp_path / f"{command}.csv"
+    return ["-m", "polekit.cli", command, "--config", str(config), "--out", str(out)]
+
+
+#: commands that must run without scipy (s = 2 m0^2 puts the amplitude
+#: in the window [0, 4 m0^2) below threshold)
+NO_SCIPY_CONFIGS = {
+    "tadpole": TADPOLE_CONFIG,
+    "amplitude": COUPLINGS + "[mandelstam]\ns = 2.0\nt = -1.0\nu = 0.0\n",
+    "propagator": COUPLINGS + "[propagator]\np_sq = 0.5, 1.0, 2.0\n",
+    "poles": COUPLINGS + "[poles]\n",
+}
+
+
+class TestImportHygiene:
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert scipy_imports(tmp_path, "-c", "import polekit") == []
+
+    @pytest.mark.parametrize("command", sorted(NO_SCIPY_CONFIGS))
+    def test_commands_load_no_scipy(self, tmp_path, command):
+        args = cli_args(tmp_path, command, NO_SCIPY_CONFIGS[command])
+        assert scipy_imports(tmp_path, *args) == []
+        assert (tmp_path / f"{command}.csv").exists()
+
+    def test_fish_quadrature_imports_scipy_integrate(self, tmp_path):
+        text = "[kinematics]\nm_sq = 1.0\n[fish]\nmethod = quadrature\np_sq = 2.0\n"
+        args = cli_args(tmp_path, "fish", text)
+        assert "scipy.integrate" in scipy_imports(tmp_path, *args)

@@ -19,11 +19,11 @@ import pytest
 from polekit import (
     BranchCutCrossing,
     DomainError,
-    DomainUnsupported,
     ms_split,
     series_eval,
     series_mul,
 )
+from polekit import graphs
 from polekit.graphs import (
     FOUR_PI_SQ,
     GraphResult,
@@ -60,6 +60,14 @@ class TestKinematicPoint:
             KinematicPoint(m_sq=1.0, mu=0.0)
         with pytest.raises(DomainError):
             KinematicPoint(m_sq=1.0, lambda0=-0.1)
+
+    @pytest.mark.parametrize("field", ["m_sq", "lambda0", "mu", "Lambda0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        # rejected at construction, so no graph ever sees the value
+        fields = {"m_sq": 1.0, field: value}
+        with pytest.raises(DomainError):
+            KinematicPoint(**fields)
 
     def test_massless_allowed_for_tadpole_only(self):
         k = KinematicPoint(m_sq=0.0)
@@ -142,10 +150,51 @@ class TestFish:
 
     def test_quadrature_agrees_with_closed_form_on_overlap(self):
         m_sq = K_GENERIC.m_sq
-        for p_sq in (0.1 * m_sq, m_sq, 10.0 * m_sq):
+        spacelike = (0.1 * m_sq, m_sq, 10.0 * m_sq)
+        # P^2 = -s for s in the window [0, 4 m^2) below threshold
+        window = tuple(-f * m_sq for f in (0.0, 0.1, 1.0, 2.0, 3.0, 3.9, 3.999))
+        for p_sq in spacelike + window:
             quad_fin = fish(p_sq, K_GENERIC).split.finite
             closed = fish_closed_form(-p_sq, K_GENERIC)
+            assert closed.imag == 0.0
             assert abs(quad_fin - closed) / abs(closed) < 1e-8
+
+    @pytest.mark.parametrize("k", [K_UNIT, K_GENERIC])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_zero_momentum_log_moments_match_quadrature(self, k, j):
+        # at P^2 = 0 the Feynman-parameter integrand is a constant; the
+        # exact moment must equal its adaptive quadrature
+        from scipy.integrate import quad
+
+        denom = 4.0 * math.pi * k.mu**2
+        value, _ = quad(
+            lambda a: math.log((k.m_sq + a * (1.0 - a) * 0.0) / denom) ** j,
+            0.0,
+            1.0,
+            epsabs=1e-10,
+            epsrel=1e-10,
+            limit=200,
+        )
+        assert graphs._log_moment(j, 0.0, k, 1e-10) == pytest.approx(
+            value, rel=1e-15, abs=0.0
+        )
+
+    def test_zero_momentum_never_integrates(self, monkeypatch):
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called at P^2 = 0")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        fish(0.0, K_GENERIC, order=3)
+        double_scoop(K_GENERIC)
+        with pytest.raises(AssertionError):
+            fish(1.0, K_GENERIC)
+
+    @pytest.mark.parametrize("p_sq", [math.nan, math.inf, -math.inf])
+    def test_non_finite_momentum_rejected(self, p_sq):
+        with pytest.raises(DomainError):
+            fish(p_sq, K_GENERIC)
 
     def test_position_space_tag(self):
         res = fish(0.0, K_GENERIC)
@@ -198,11 +247,33 @@ class TestFishClosedForm:
         assert v.imag < 0.0
         assert math.isclose(v.imag, -math.pi * beta / FOUR_PI_SQ, rel_tol=1e-12)
 
-    def test_unsupported_window(self):
-        with pytest.raises(DomainUnsupported):
-            fish_closed_form(0.0, K_GENERIC)
-        with pytest.raises(DomainUnsupported):
-            fish_closed_form(2.0 * K_GENERIC.m_sq, K_GENERIC)
+    def test_window_below_threshold(self):
+        # beta = i b in [0, 4 m^2): the bracket 2 b arctan(1/b) is real,
+        # equals 2 at s = 0 and vanishes toward threshold
+        k = K_GENERIC
+        m_sq = k.m_sq
+        log_term = math.log(m_sq / (4.0 * math.pi * k.mu**2))
+        at_zero = fish_closed_form(0.0, k)
+        assert at_zero == complex((log_term + EULER_GAMMA) / FOUR_PI_SQ)
+        mid = fish_closed_form(2.0 * m_sq, k)
+        b = math.sqrt(4.0 * m_sq / (2.0 * m_sq) - 1.0)
+        bracket = 2.0 * b * math.atan(1.0 / b)
+        expected = (log_term + EULER_GAMMA - 2.0 + bracket) / FOUR_PI_SQ
+        assert mid.imag == 0.0
+        assert math.isclose(mid.real, expected, rel_tol=1e-14)
+        # continuous at both ends of the window (|F'(0)| < 1/(6 m^2 (4 pi)^2)),
+        # with no overflow at tiny s
+        for s in (-1e-6, 1e-6, 1e-12, 1e-300, 5e-324):
+            change = abs(fish_closed_form(s, k) - at_zero)
+            assert change <= (abs(s) / m_sq + 1e-15) / FOUR_PI_SQ
+        threshold = fish_closed_form(4.0 * m_sq, k)
+        below = fish_closed_form(4.0 * m_sq * (1.0 - 1e-12), k)
+        assert abs(below - threshold) < 1e-5 / FOUR_PI_SQ
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(DomainError):
+            fish_closed_form(s, K_GENERIC)
 
 
 # ---------------------------------------------------------------- double scoop
@@ -298,6 +369,11 @@ class TestSettingSun:
             setting_sun(-1.0, K_GENERIC)
         with pytest.raises(DomainError):
             setting_sun(1.0, K_GENERIC, order=4)
+
+    @pytest.mark.parametrize("p_sq", [math.nan, math.inf])
+    def test_non_finite_momentum_rejected(self, p_sq):
+        with pytest.raises(DomainError):
+            setting_sun(p_sq, K_GENERIC)
 
     def test_split_consistent(self):
         assert split_is_exact(setting_sun(0.7, K_GENERIC, order=3))

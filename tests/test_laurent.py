@@ -260,6 +260,30 @@ class TestGammaLaurent:
         expected = 2.0 ** (order + 1)
         assert expected / 2 < ratio < expected * 2
 
+    @pytest.mark.parametrize("a", range(-4, 7))
+    @pytest.mark.parametrize("b", [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5])
+    def test_coefficients_match_mpmath_taylor(self, a, b):
+        # mpmath's Taylor coefficients of Gamma(a + b eps), or of
+        # eps Gamma(a + b eps) (shifted one power down) where a <= 0 puts a
+        # pole at eps = 0
+        with mp.workdps(30):
+            mb = mp.mpf(b)
+            if a >= 1:
+                taylor = mp.taylor(lambda e: mp.gamma(a + mb * e), 0, 4)
+                reference = {k: complex(c) for k, c in enumerate(taylor)}
+            else:
+                taylor = mp.taylor(
+                    lambda e: e * mp.gamma(a + mb * e), 0, 5, singular=True
+                )
+                reference = {k - 1: complex(c) for k, c in enumerate(taylor)}
+        for order in range(5):
+            g = gamma_laurent(a, b, order)
+            assert g.min_order == (0 if a >= 1 else -1)
+            assert g.max_order == order
+            for k in range(g.min_order, order + 1):
+                expected = reference[k]
+                assert abs(g.coeff(k) - expected) <= 1e-14 * abs(expected), (k, order)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             gamma_laurent(-1, 0.0)

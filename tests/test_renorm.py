@@ -157,6 +157,27 @@ class TestAmplitude:
         above = amplitude_T(C_GENERIC, +delta, -1.0, -1.0)
         assert abs(below - above) < 1e-5 * abs(below)
 
+    @pytest.mark.parametrize("c", [C_GENERIC, C_FREE])
+    @pytest.mark.parametrize(
+        "stu",
+        [(math.nan, -1.0, -1.0), (-1.0, math.inf, -1.0), (-1.0, -1.0, -math.inf)],
+    )
+    def test_non_finite_mandelstam_rejected(self, c, stu):
+        with pytest.raises(DomainError):
+            amplitude_T(c, *stu)
+
+    def test_window_uses_closed_form(self, monkeypatch):
+        # inside [0, 4 m^2) the bubble comes from the arctan branch, not quadrature
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        m_sq = C_GENERIC.m0_sq
+        value = amplitude_T(C_GENERIC, 0.0, 2.0 * m_sq, 3.9 * m_sq)
+        assert value.imag == 0.0
+
     def test_above_threshold_is_complex(self):
         s = 5.0 * C_GENERIC.m0_sq
         value = amplitude_T(C_GENERIC, s, -1.0, -1.0)
@@ -240,6 +261,12 @@ class TestPropagatorInverse:
     def test_requires_positive_momentum(self):
         with pytest.raises(DomainError):
             propagator_inverse(0.0, C_GENERIC)
+
+    @pytest.mark.parametrize("c", [C_GENERIC, C_FREE])
+    @pytest.mark.parametrize("p_sq", [math.nan, math.inf])
+    def test_non_finite_momentum_rejected(self, c, p_sq):
+        with pytest.raises(DomainError):
+            propagator_inverse(p_sq, c)
 
     def test_momentum_dependent_part_is_setting_sun_log(self):
         c = C_STRONG
