@@ -35,7 +35,6 @@ from .errors import (
     LandauPoleWarning,
     PoleDepthExceeded,
     QuadratureNotConverged,
-    StepCountInsufficient,
     WorkbenchError,
 )
 from .curved import (
@@ -129,7 +128,6 @@ __all__ = [
     "GridMismatch",
     "ConvergenceError",
     "QuadratureNotConverged",
-    "StepCountInsufficient",
     "AliasingWarning",
     "LandauPoleWarning",
     "BoundaryDecayWarning",

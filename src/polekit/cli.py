@@ -67,6 +67,7 @@ from .renorm import (
     amplitude_T,
     energy_density,
     pole_cancellation_report,
+    propagator_inverse,
     rg_flow,
     scheme_offset,
 )
@@ -427,8 +428,6 @@ def _cmd_energy(sections: dict):
 
 
 def _cmd_propagator(sections: dict):
-    from .renorm import propagator_inverse
-
     c = _coupling_set(sections["couplings"])
     rows = [
         (p_sq, propagator_inverse(p_sq, c))

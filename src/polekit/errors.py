@@ -25,7 +25,6 @@ __all__ = [
     "GridMismatch",
     "ConvergenceError",
     "QuadratureNotConverged",
-    "StepCountInsufficient",
     "AliasingWarning",
     "LandauPoleWarning",
     "BoundaryDecayWarning",
@@ -66,10 +65,6 @@ class ConvergenceError(WorkbenchError, RuntimeError):
 
 class QuadratureNotConverged(ConvergenceError):
     """Adaptive quadrature exhausted its budget above tolerance."""
-
-
-class StepCountInsufficient(ConvergenceError):
-    """Doubling the ODE step count moved the endpoint too much."""
 
 
 class AliasingWarning(UserWarning):

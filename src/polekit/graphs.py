@@ -192,6 +192,8 @@ def fish(
     if order < 1:
         raise DomainError("fish: order must be >= 1")
     _require_finite("fish: P_sq", P_sq)
+    if not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise DomainError(f"fish: quad_tol must be finite and > 0, got {quad_tol!r}")
     k._require_massive("fish")
     if P_sq <= -4.0 * k.m_sq:
         raise BranchCutCrossing(
@@ -227,6 +229,8 @@ def fish_closed_form(s: float, k: KinematicPoint) -> complex:
     ``0 <= s < 4 m^2``, ``beta = i b`` is imaginary and the bracket is the
     real ``2 b arctan(1/b)`` with ``b = sqrt(4 m^2/s - 1)``; it tends to 2
     as ``s -> 0``, where the result is the bubble's ``P^2 = 0`` finite part.
+    Outside the window the logarithm is assembled from ``log1p`` terms, so
+    the bracket keeps full precision as ``s -> 0-`` and as ``|s| -> inf``.
 
     The additive constant ``-2`` is pinned by requiring agreement with the
     Feynman-parameter quadrature on the spacelike overlap (a frozen
@@ -244,12 +248,17 @@ def fish_closed_form(s: float, k: KinematicPoint) -> complex:
         return complex(prefactor * (log_term - 2.0 + bracket))
     if s == 4.0 * m_sq:
         return complex(prefactor * (log_term - 2.0))
-    beta = math.sqrt(1.0 - 4.0 * m_sq / s)
     if s < 0.0:
-        bracket = beta * math.log((beta + 1.0) / (beta - 1.0))
+        # beta ln((beta+1)/(beta-1)) with v = 1/beta, free of cancellation:
+        # (beta+1)/(beta-1) = (1+v)^2 / (1-v^2) and 1 - v^2 = 1/(1 - s/4m^2)
+        v = math.sqrt(-s / (4.0 * m_sq - s))
+        bracket = (2.0 * math.log1p(v) + math.log1p(-s / (4.0 * m_sq))) / v
         return complex(prefactor * (log_term - 2.0 + bracket))
-    # timelike, above threshold: beta in (0, 1), s + i0 prescription
-    bracket = beta * complex(math.log((1.0 + beta) / (1.0 - beta)), -math.pi)
+    # timelike, above threshold: beta in (0, 1), s + i0 prescription;
+    # (1+beta)/(1-beta) = (1+beta)^2 s/4m^2 since 1 - beta^2 = 4m^2/s
+    beta = math.sqrt((s - 4.0 * m_sq) / s)
+    log_ratio = 2.0 * math.log1p(beta) + math.log(s / (4.0 * m_sq))
+    bracket = beta * complex(log_ratio, -math.pi)
     return prefactor * (log_term - 2.0 + bracket)
 
 

@@ -22,6 +22,7 @@ needed.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -53,9 +54,12 @@ POLE_DEPTH_CAP = -4
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, numbers.Complex):
-        return complex(value)
-    raise TypeError(f"coefficient {value!r} is not a complex number")
+    if not isinstance(value, numbers.Complex):
+        raise TypeError(f"coefficient {value!r} is not a complex number")
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"coefficient {value!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class EpsilonSeries:
     ``coefficients[i]`` is the coefficient of ``eps**(min_order + i)``;
     the truncation order is ``max_order = min_order + len(coefficients) - 1``.
     Powers above ``max_order`` are *unknown* (truncated), powers below
-    ``min_order`` are exactly zero.
+    ``min_order`` are exactly zero.  A NaN or infinite coefficient raises
+    :class:`DomainError`.
     """
 
     min_order: int
@@ -393,8 +398,8 @@ def gamma_laurent(a: int, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
         raise DomainError("gamma_laurent: 'a' must be an integer")
     a = int(a)
     b = float(b)
-    if b == 0.0:
-        raise DomainError("gamma_laurent: 'b' must be nonzero")
+    if not math.isfinite(b) or b == 0.0:
+        raise DomainError("gamma_laurent: 'b' must be finite and nonzero")
     if not 0 <= order <= 4:
         raise DomainError("gamma_laurent: order must be between 0 and 4")
 
@@ -425,12 +430,14 @@ def gamma_laurent(a: int, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
 
 def scale_power(ratio: float, b, order: int = DEFAULT_MAX_ORDER) -> EpsilonSeries:
     """Expansion of ``ratio**(b*eps) = sum_k (b ln ratio)^k eps^k / k!``."""
-    ratio = float(ratio)
-    if ratio <= 0.0:
-        raise DomainError("scale_power: ratio must be positive")
+    ratio, b = float(ratio), float(b)
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise DomainError("scale_power: ratio must be finite and positive")
+    if not math.isfinite(b):
+        raise DomainError("scale_power: b must be finite")
     if order < 0:
         raise DomainError("scale_power: order must be >= 0")
-    t = float(b) * math.log(ratio)
+    t = b * math.log(ratio)
     coeffs = tuple(complex(t**k / math.factorial(k)) for k in range(order + 1))
     return EpsilonSeries(0, coeffs)
 

@@ -15,9 +15,11 @@ B61 (1973) 455): each one-loop beta is minus the ``1/eps`` residue of its
 bare parameter, so ``beta_functions`` reads them off in closed form.
 The operational definition, scale independence of the finite parts
 measured by central differences in ``ln mu``, is kept in the test suite
-as the oracle for those closed forms.  ``rg_flow`` integrates them with a
-fixed-step classical Runge–Kutta scheme so trajectories are bit-for-bit
-reproducible.
+as the oracle for those closed forms.  The one-loop system solves
+exactly (``1/lambda`` is linear in ``ln mu``, ``m^2 ~ lambda^(1/3)``), so
+``rg_flow`` samples that solution on a uniform ``ln mu`` grid instead of
+integrating it; a Runge–Kutta integrator stays in the test suite as the
+oracle for the sampled trajectory.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, LandauPoleWarning, StepCountInsufficient
+from .errors import DomainError, LandauPoleWarning
 from .graphs import (
     FOUR_PI_SQ,
     KinematicPoint,
@@ -55,9 +57,6 @@ __all__ = [
 
 #: Landau-pole guard: trajectories are truncated once lambda0 exceeds this
 LANDAU_GUARD = 10.0
-
-#: relative endpoint tolerance of the step-doubling convergence check
-_ENDPOINT_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -228,21 +227,6 @@ def propagator_inverse(p_sq: float, c: CouplingSet) -> float:
 # ----------------------------------------------------------------- RG machinery
 
 
-def _flow_rhs(lambda0: float, m0_sq: float) -> tuple[float, float, float]:
-    """One-loop ``(beta_lambda, gamma_m, beta_Lambda)``; independent of mu."""
-    if lambda0 < 0.0:
-        raise DomainError("beta_functions: lambda0 must be >= 0")
-    if m0_sq < 0.0:
-        raise DomainError("beta_functions: m0_sq must be >= 0")
-    # minus the 1/eps residue -3 lambda^2/(4 pi)^2 of bare_coupling_standard
-    beta_lambda = 3.0 * lambda0**2 / FOUR_PI_SQ
-    # minus the 1/eps residue -lambda m^2/(4 pi)^2 of the bare mass m0^2
-    gamma_m = lambda0 * m0_sq / FOUR_PI_SQ
-    # minus the 1/eps residue m^4/(2 (4 pi)^2) of the vacuum term (1/4) m^2 tadpole
-    beta_Lambda = -(m0_sq**2) / (2.0 * FOUR_PI_SQ)
-    return beta_lambda, gamma_m, beta_Lambda
-
-
 def beta_functions(c: CouplingSet) -> dict[str, float]:
     """One-loop RG derivatives read off the simple-pole residues.
 
@@ -257,85 +241,89 @@ def beta_functions(c: CouplingSet) -> dict[str, float]:
     the tadpole mass shift and the vacuum energy under ``ln mu``; the test
     suite measures those slopes by central differences as the oracle.
     """
-    beta_lambda, gamma_m, beta_Lambda = _flow_rhs(c.lambda0, c.m0_sq)
+    if c.m0_sq < 0.0:
+        raise DomainError("beta_functions: m0_sq must be >= 0")
     return {
-        "beta_lambda": beta_lambda,
-        "gamma_m": gamma_m,
-        "beta_Lambda": beta_Lambda,
+        # minus the 1/eps residue -3 lambda^2/(4 pi)^2 of bare_coupling_standard
+        "beta_lambda": 3.0 * c.lambda0**2 / FOUR_PI_SQ,
+        # minus the 1/eps residue -lambda m^2/(4 pi)^2 of the bare mass m0^2
+        "gamma_m": c.lambda0 * c.m0_sq / FOUR_PI_SQ,
+        # minus the 1/eps residue m^4/(2 (4 pi)^2) of the vacuum term (1/4) m^2 tadpole
+        "beta_Lambda": -(c.m0_sq**2) / (2.0 * FOUR_PI_SQ),
     }
 
 
-def _integrate(start: CouplingSet, ln_mu_end: float, steps: int):
-    """Fixed-step RK4 in ln mu; returns (trajectory, guard_tripped)."""
-    ln_mu0 = math.log(start.mu)
-    h = (ln_mu_end - ln_mu0) / steps
-    trajectory = [start]
-    y = (start.lambda0, start.m0_sq, start.Lambda0)
-    for i in range(steps):
-        x = ln_mu0 + i * h
-        k1 = _flow_rhs(y[0], y[1])
-        y2 = tuple(y[j] + 0.5 * h * k1[j] for j in range(3))
-        k2 = _flow_rhs(y2[0], y2[1])
-        y3 = tuple(y[j] + 0.5 * h * k2[j] for j in range(3))
-        k3 = _flow_rhs(y3[0], y3[1])
-        y4 = tuple(y[j] + h * k3[j] for j in range(3))
-        k4 = _flow_rhs(y4[0], y4[1])
-        y = tuple(
-            y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(3)
-        )
-        point = CouplingSet(y[0], y[1], y[2], math.exp(x + h))
-        trajectory.append(point)
-        if point.lambda0 > LANDAU_GUARD:
-            return trajectory, True
-    return trajectory, False
+def _warn_landau(start: CouplingSet, reason: str) -> None:
+    # exact pole scale mu_L = mu0 exp((4 pi)^2/(3 lambda0)); a guard trip
+    # near the top of the float range can put mu_L beyond it
+    try:
+        mu_pole = math.exp(math.log(start.mu) + FOUR_PI_SQ / (3.0 * start.lambda0))
+    except OverflowError:
+        mu_pole = math.inf
+    warnings.warn(
+        f"rg_flow: {reason}; trajectory truncated (Landau pole at "
+        f"mu_L = {mu_pole!r})",
+        LandauPoleWarning,
+        stacklevel=3,
+    )
 
 
 def rg_flow(start: CouplingSet, mu_end: float, steps: int = 64) -> list[CouplingSet]:
-    """Integrate the couplings from ``start.mu`` to ``mu_end``.
+    """Exact one-loop flow from ``start.mu`` to ``mu_end``.
 
-    Fixed-step classical RK4 in ``ln mu`` (reproducible trajectories); a
-    step-doubling rerun guards the endpoint to 1e-8 relative, raising
-    :class:`StepCountInsufficient` otherwise.  If the running coupling
-    exceeds :data:`LANDAU_GUARD` the trajectory is truncated at the
-    offending point and a :class:`LandauPoleWarning` is emitted.
+    Samples the closed-form solution of the :func:`beta_functions` system
+    at ``steps`` uniform steps in ``ln mu``.  With ``L = ln(mu/mu0)`` and
+    ``a = 3 lambda0 L/(4 pi)^2``::
+
+        lambda = lambda0/(1 - a)
+        m^2    = m0^2 (1 - a)^(-1/3)
+        Lambda = Lambda0 + m0^4/(2 lambda0) ((1 - a)^(1/3) - 1)
+
+    the powers of ``1 - a`` taken through ``log1p``/``expm1`` so nothing
+    cancels as ``lambda0 -> 0``; at ``lambda0 = 0`` the exact limit
+    ``Lambda = Lambda0 - m0^4 L/(2 (4 pi)^2)`` is used.  The result holds
+    ``steps + 1`` points, the start first.  If the running coupling
+    exceeds :data:`LANDAU_GUARD`, the trajectory ends at the offending
+    point; if a grid point lies at or past the Landau pole ``a = 1``
+    before that, it ends at the last point below the pole.  Either way one
+    :class:`LandauPoleWarning` names the pole scale
+    ``mu_L = mu0 exp((4 pi)^2/(3 lambda0))``.
     """
     if not math.isfinite(mu_end) or mu_end <= 0.0:
         raise DomainError("rg_flow: mu_end must be finite and > 0")
     if steps < 16:
         raise DomainError("rg_flow: steps must be >= 16")
-    ln_mu_end = math.log(mu_end)
-    trajectory, tripped = _integrate(start, ln_mu_end, steps)
-    if tripped:
-        warnings.warn(
-            f"rg_flow: lambda0 exceeded {LANDAU_GUARD} at mu = "
-            f"{trajectory[-1].mu}; trajectory truncated",
-            LandauPoleWarning,
-            stacklevel=2,
-        )
-        return trajectory
-    fine, fine_tripped = _integrate(start, ln_mu_end, 2 * steps)
-    if fine_tripped:
-        warnings.warn(
-            "rg_flow: Landau guard tripped only on the doubled-step rerun",
-            LandauPoleWarning,
-            stacklevel=2,
-        )
-        return trajectory
-    end, end2 = trajectory[-1], fine[-1]
-    for a, b in (
-        (end.lambda0, end2.lambda0),
-        (end.m0_sq, end2.m0_sq),
-        (end.Lambda0, end2.Lambda0),
-    ):
-        diff = abs(a - b)
-        rel = diff / max(abs(a), abs(b)) if diff else 0.0
-        # written to fail closed: a NaN endpoint never passes
-        if not rel <= _ENDPOINT_RTOL:
-            raise StepCountInsufficient(
-                f"rg_flow: endpoint moved by {rel:.3e} relative "
-                f"under step doubling (> {_ENDPOINT_RTOL}); increase steps"
+    lam0, m0_sq, Lam0 = start.lambda0, start.m0_sq, start.Lambda0
+    if m0_sq < 0.0:
+        raise DomainError("rg_flow: m0_sq must be >= 0")
+    ln_mu0 = math.log(start.mu)
+    h = (math.log(mu_end) - ln_mu0) / steps
+    trajectory = [start]
+    for i in range(steps):
+        ln_ratio = (i + 1) * h
+        mu = math.exp((ln_mu0 + i * h) + h)
+        if lam0 == 0.0:
+            point = CouplingSet(
+                0.0, m0_sq, Lam0 - m0_sq**2 * ln_ratio / (2.0 * FOUR_PI_SQ), mu
             )
+        else:
+            a = 3.0 * lam0 * ln_ratio / FOUR_PI_SQ
+            if a >= 1.0:
+                _warn_landau(start, f"the step to mu = {mu!r} crosses the pole")
+                return trajectory
+            third_log = math.log1p(-a) / 3.0
+            point = CouplingSet(
+                lam0 / (1.0 - a),
+                m0_sq * math.exp(-third_log),
+                Lam0 + m0_sq**2 / (2.0 * lam0) * math.expm1(third_log),
+                mu,
+            )
+        trajectory.append(point)
+        if point.lambda0 > LANDAU_GUARD:
+            _warn_landau(
+                start, f"lambda0 exceeded {LANDAU_GUARD} at mu = {point.mu}"
+            )
+            return trajectory
     return trajectory
 
 

@@ -124,10 +124,10 @@ class TestConfigValidation:
 
     def test_convergence_failure_exits_4(self, tmp_path):
         text = (
-            "[couplings]\nlambda0 = 2.0\nm0_sq = 1.0\nmu = 1.0\n"
-            f"[flow]\nmu_end = {math.exp(18.0)!r}\nsteps = 16\n"
+            "[kinematics]\nm_sq = 1.0\n"
+            "[fish]\nmethod = quadrature\np_sq = 1.0\nquad_tol = 1e-300\n"
         )
-        status, _ = run_cli(tmp_path, "rgflow", text)
+        status, _ = run_cli(tmp_path, "fish", text)
         assert status == 4
 
 

@@ -14,6 +14,7 @@ oracles):
 
 import math
 
+import mpmath as mp
 import pytest
 
 from polekit import (
@@ -238,6 +239,21 @@ class TestFishClosedForm:
         bracket = beta * math.log((beta + 1.0) / (beta - 1.0))
         const = fish_closed_form(s, k).real * FOUR_PI_SQ - EULER_GAMMA - bracket
         assert abs(const - (-2.0)) < 1e-12
+
+    @pytest.mark.parametrize("s", [-1e-12, -1e9, -1e12, 1e12])
+    def test_tails_match_mpmath(self, s):
+        # textbook beta ln((beta+1)/(beta-1)) at 60 digits, s + i0 above threshold
+        with mp.workdps(60):
+            m_sq, mu = mp.mpf(K_GENERIC.m_sq), mp.mpf(K_GENERIC.mu)
+            beta = mp.sqrt(1 - 4 * m_sq / mp.mpf(s))
+            if s < 0:
+                bracket = beta * mp.log((beta + 1) / (beta - 1))
+            else:
+                bracket = beta * (mp.log((1 + beta) / (1 - beta)) - 1j * mp.pi)
+            log_term = mp.log(m_sq / (4 * mp.pi * mu**2)) + mp.euler
+            expected = complex((log_term - 2 + bracket) / (16 * mp.pi**2))
+        got = fish_closed_form(s, K_GENERIC)
+        assert abs(got - expected) <= 1e-14 * abs(expected)
 
     def test_timelike_absorptive_part(self):
         m_sq = K_GENERIC.m_sq

@@ -20,8 +20,10 @@ from polekit import (
     DomainError,
     EpsilonSeries,
     EvalAtZeroWithPoles,
+    KinematicPoint,
     PoleDepthExceeded,
     SplitValue,
+    fish,
     gamma_laurent,
     ms_split,
     scale_power,
@@ -454,3 +456,35 @@ def test_split_reconstruction_exact(s):
     rebuilt = ms_split(s).reconstruct()
     for k in range(-4, 1):
         assert rebuilt.coeff(k) == s.coeff(k)
+
+
+# ------------------------------------------------------------ non-finite inputs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EpsilonSeries(0, (math.nan,)),
+        lambda: EpsilonSeries(-1, (1.0, complex(math.inf, 0.0))),
+        lambda: EpsilonSeries(0, (complex(0.0, math.nan),)),
+        lambda: EpsilonSeries.from_terms({-1: -math.inf, 0: 1.0}),
+        lambda: SplitValue({1: math.nan}),
+        lambda: SplitValue({}, finite=math.inf),
+        lambda: gamma_laurent(1, math.nan),
+        lambda: gamma_laurent(0, math.inf),
+        lambda: scale_power(math.nan, 1.0),
+        lambda: scale_power(math.inf, 1.0),
+        lambda: scale_power(2.0, math.nan),
+        lambda: fish(1.0, KinematicPoint(m_sq=1.0), quad_tol=math.nan),
+        lambda: fish(0.0, KinematicPoint(m_sq=1.0), quad_tol=math.inf),
+    ],
+    ids=[
+        "series-nan", "series-inf", "series-imag-nan", "from_terms-inf",
+        "split-pole-nan", "split-finite-inf", "gamma-b-nan", "gamma-b-inf",
+        "scale-ratio-nan", "scale-ratio-inf", "scale-b-nan",
+        "fish-quad_tol-nan", "fish-quad_tol-inf",
+    ],
+)
+def test_non_finite_input_raises_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
